@@ -13,7 +13,6 @@
 //	          [-quiet] [-log-json] [-load snapshot.fovs] [-save snapshot.fovs]
 //	          [-debug-addr 127.0.0.1:8478] [-slow-query 100ms] [-trace-sample 16]
 //	          [-profile] [-lock-sample 64] [-hotspots] [-hotspot-k 32]
-//	          [-read-cache] [-read-cache-size 1024]
 //	          [-cluster-topology topology.json -cluster-partition p0]
 //
 // -cluster-topology/-cluster-partition make this node one partition of
@@ -92,13 +91,6 @@
 // cells, upload providers, and ingest shard windows, served on GET
 // /debug/hotspots (`fovctl hotspots`); -hotspot-k bounds tracked keys
 // per sketch.
-//
-// -read-cache puts a hot-cell result cache in front of the index:
-// repeated box searches whose shards have not changed since the cached
-// answer was computed are served from the cache (epoch-validated —
-// a cache hit is always exactly what a fresh search would return).
-// -read-cache-size bounds the cached query boxes; cache behaviour is
-// exported as fovr_readcache_* on /metrics.
 package main
 
 import (
@@ -151,8 +143,6 @@ func main() {
 	lockSample := flag.Int("lock-sample", 64, "time 1 in N lock acquisitions into fovr_lock_wait_ns/fovr_lock_hold_ns (0 disables)")
 	hotspots := flag.Bool("hotspots", true, "track heavy-hitter sketches (query cells, providers, shard windows) on GET /debug/hotspots")
 	hotspotK := flag.Int("hotspot-k", 32, "keys tracked per hotspot sketch with -hotspots")
-	readCache := flag.Bool("read-cache", false, "cache hot-cell query results (epoch-validated; fovr_readcache_* on /metrics)")
-	readCacheSize := flag.Int("read-cache-size", 0, "cached query boxes with -read-cache (0 = default 1024)")
 	clusterTopology := flag.String("cluster-topology", "", "cluster topology file; with -cluster-partition, rejects misrouted uploads (HTTP 421) and offsets assigned ids")
 	clusterPartition := flag.String("cluster-partition", "", "this node's partition id in -cluster-topology")
 	flag.Parse()
@@ -178,8 +168,6 @@ func main() {
 		TraceSampleRate:    *traceSample,
 		History:            obs.HistoryConfig{Enabled: *history},
 		HotspotK:           *hotspotK,
-		ReadCache:          *readCache,
-		ReadCacheCapacity:  *readCacheSize,
 	}
 	if !*hotspots {
 		cfg.HotspotK = -1

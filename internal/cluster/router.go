@@ -115,7 +115,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = slog.New(nopHandler{})
+		log = obs.NopLogger()
 	}
 	rt := &Router{
 		cfg:     cfg,
@@ -168,14 +168,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/metrics", rt.handleMetrics)
 	return mux
 }
-
-// nopHandler mirrors the server package's silent logger.
-type nopHandler struct{}
-
-func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
-func (nopHandler) WithAttrs([]slog.Attr) slog.Handler        { return nopHandler{} }
-func (nopHandler) WithGroup(string) slog.Handler             { return nopHandler{} }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), code)

@@ -182,7 +182,7 @@ func TestOwnersForQuery(t *testing.T) {
 	if got := ownerIDs(narrow.OwnersForQuery(math.MinInt64/2, math.MaxInt64/2)); !eqIDs(got, "p0", "p1", "p2") {
 		t.Fatalf("huge span: %v", got)
 	}
-	// The fan-out range must match the index's windowRange exactly,
+	// The fan-out range must match the index's window key range exactly,
 	// including the floor(start/W)-1 widening.
 	lo, hi := index.WindowKeyRange(9*w, 9*w+1000, w)
 	if lo != 8 || hi != 9 {

@@ -10,7 +10,6 @@ import (
 
 	"fovr/internal/fov"
 	"fovr/internal/geo"
-	"fovr/internal/index"
 	"fovr/internal/obs"
 	"fovr/internal/query"
 	"fovr/internal/segment"
@@ -20,11 +19,10 @@ import (
 
 // TableReadSaturation measures the lock-free snapshot read path under
 // write saturation: query latency percentiles on a sharded server while
-// W writer goroutines continuously register uploads, with the hot-cell
-// read cache off and on. Queries cycle a fixed pool of boxes over the
-// seeded day; churn ingest lands in later time windows (new captures
-// arriving now while inquirers ask about past events), so cached hot
-// answers stay epoch-valid while the index mutates underneath.
+// W writer goroutines continuously register uploads. Queries cycle a
+// fixed pool of boxes over the seeded day; churn ingest lands in later
+// time windows (new captures arriving now while inquirers ask about past
+// events).
 //
 // The table's claim: reader p99 under saturating ingest stays within 2x
 // of the uncontended p99 — writers copy nodes and publish, readers pin
@@ -40,7 +38,7 @@ func TableReadSaturation(n, queries int) *Table {
 	}
 	t := &Table{
 		Title:   fmt.Sprintf("Read saturation: query latency vs concurrent ingest (%d entries, %d-query pool)", n, queries),
-		Columns: []string{"writers", "cache", "p50_us", "p99_us", "hit_pct", "p99_vs_idle_pct"},
+		Columns: []string{"writers", "p50_us", "p99_us", "p99_vs_idle_pct"},
 	}
 
 	batches := shardScaleBatches(n)
@@ -84,46 +82,29 @@ func TableReadSaturation(n, queries int) *Table {
 	defer obs.SetLockSampleRate(prevRate)
 	obs.SetLockSampleRate(0)
 
-	type mode struct {
-		writers int
-		cache   bool
-	}
-	modes := []mode{{0, false}, {4, false}, {0, true}, {4, true}}
+	writerCounts := []int{0, 4}
 
 	const timedQueries = 6000
-	run := func(m mode) (p50, p99, hitPct float64, err error) {
+	run := func(writers int) (p50, p99 float64, err error) {
 		s, err := server.New(server.Config{
 			Camera:    fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100},
 			IndexKind: server.IndexKindSharded,
 			Registry:  obs.NewRegistry(),
 			HotspotK:  -1,
-			ReadCache: m.cache,
 		})
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 		defer s.Close()
 		for _, u := range uploads {
 			if _, err := s.Register(u); err != nil {
-				return 0, 0, 0, err
+				return 0, 0, err
 			}
 		}
-		// Two warm passes: the first misses, the second reaches the
-		// admission threshold and populates the cache.
-		for pass := 0; pass < 2; pass++ {
-			for _, q := range qs {
-				if _, err := s.Query(q, 10); err != nil {
-					return 0, 0, 0, err
-				}
+		for _, q := range qs {
+			if _, err := s.Query(q, 10); err != nil {
+				return 0, 0, err
 			}
-		}
-		var rc *index.ReadCache
-		if m.cache {
-			rc, _ = s.Index().(*index.ReadCache)
-		}
-		var hitsBefore, missesBefore int64
-		if rc != nil {
-			hitsBefore, missesBefore = rc.Hits(), rc.Misses()
 		}
 
 		// Saturating writers: register churn uploads as fast as the index
@@ -131,8 +112,8 @@ func TableReadSaturation(n, queries int) *Table {
 		// the index does not grow without bound across repetitions.
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
-		writerErr := make(chan error, m.writers)
-		for w := 0; w < m.writers; w++ {
+		writerErr := make(chan error, writers)
+		for w := 0; w < writers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
@@ -165,7 +146,7 @@ func TableReadSaturation(n, queries int) *Table {
 				if _, err := s.Query(q, 10); err != nil {
 					close(stop)
 					wg.Wait()
-					return 0, 0, 0, err
+					return 0, 0, err
 				}
 				lat = append(lat, time.Since(qStart))
 			}
@@ -174,61 +155,44 @@ func TableReadSaturation(n, queries int) *Table {
 		wg.Wait()
 		select {
 		case err := <-writerErr:
-			return 0, 0, 0, err
+			return 0, 0, err
 		default:
 		}
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 		p50 = float64(lat[len(lat)/2].Microseconds())
 		p99 = float64(lat[len(lat)*99/100].Microseconds())
-		if rc != nil {
-			hits := rc.Hits() - hitsBefore
-			misses := rc.Misses() - missesBefore
-			if hits+misses > 0 {
-				hitPct = float64(hits) / float64(hits+misses) * 100
-			}
-		}
-		return p50, p99, hitPct, nil
+		return p50, p99, nil
 	}
 
 	const reps = 3
-	p50Reps := make([][]float64, len(modes))
-	p99Reps := make([][]float64, len(modes))
-	hitReps := make([][]float64, len(modes))
+	p50Reps := make([][]float64, len(writerCounts))
+	p99Reps := make([][]float64, len(writerCounts))
 	for rep := 0; rep < reps; rep++ {
-		for i, m := range modes {
-			p50, p99, hit, err := run(m)
+		for i, w := range writerCounts {
+			p50, p99, err := run(w)
 			if err != nil {
-				t.AddNote("writers=%d cache=%v run: %v", m.writers, m.cache, err)
+				t.AddNote("writers=%d run: %v", w, err)
 				return t
 			}
 			p50Reps[i] = append(p50Reps[i], p50)
 			p99Reps[i] = append(p99Reps[i], p99)
-			hitReps[i] = append(hitReps[i], hit)
 		}
 	}
-	idle := map[bool]float64{false: median(p99Reps[0]), true: median(p99Reps[2])}
-	for i, m := range modes {
-		cache := "off"
-		hit := "-"
-		if m.cache {
-			cache = "on"
-			hit = f1(median(hitReps[i]))
-		}
+	idle := median(p99Reps[0])
+	for i, w := range writerCounts {
 		t.AddRow(
-			fmt.Sprintf("%d", m.writers),
-			cache,
+			fmt.Sprintf("%d", w),
 			f1(median(p50Reps[i])),
 			f1(median(p99Reps[i])),
-			hit,
-			f1(pctOver(idle[m.cache], median(p99Reps[i]))),
+			f1(pctOver(idle, median(p99Reps[i]))),
 		)
 	}
 
 	// The structural check: with every acquisition timed, a full query
 	// pass must record zero index.shard acquisitions.
 	t.AddNote("%s", readLockProbe(uploads, qs))
-	t.AddNote("writers register 20-rep uploads into later time windows without pause; queries cycle the pool over the seeded day; p99_vs_idle compares each cache setting against its own 0-writer baseline")
-	t.AddNote("median of %d interleaved repetitions per mode, %d timed queries each", reps, timedQueries)
+	t.AddNote("writers register 20-rep uploads into later time windows without pause; queries cycle the pool over the seeded day; p99_vs_idle compares against the 0-writer baseline")
+	t.AddNote("median of %d interleaved repetitions per writer count, %d timed queries each", reps, timedQueries)
 	return t
 }
 

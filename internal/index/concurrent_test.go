@@ -24,8 +24,8 @@ const (
 	concBatchSize = 20
 )
 
-// concReadIndex is the slice of ServerIndex the suite needs; the cached
-// wrapper and both index kinds satisfy it.
+// concReadIndex is the slice of ServerIndex the suite needs; both index
+// kinds satisfy it.
 type concReadIndex interface {
 	InsertBatch([]Entry) error
 	Remove(uint64) bool
@@ -40,18 +40,9 @@ func concIndexes(t *testing.T) map[string]concReadIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedInner, err := NewSharded(ShardedOptions{WindowMillis: 60_000, SpatialShards: 4, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := NewReadCache(cachedInner, ReadCacheOptions{MinCellHits: 1, Capacity: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string]concReadIndex{
-		"rtree":          newRTree(t),
-		"sharded":        sharded,
-		"sharded-cached": cached,
+		"rtree":   newRTree(t),
+		"sharded": sharded,
 	}
 }
 

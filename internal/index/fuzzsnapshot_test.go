@@ -7,14 +7,13 @@ import (
 	"fovr/internal/segment"
 )
 
-// FuzzSnapshotReads drives a cached sharded index and a linear oracle
-// through the same fuzzer-chosen interleaving of inserts, removals, and
-// queries, and demands that every query — hit or miss — answers exactly
-// what the oracle answers at that point. Because queries draw from a
-// pool of four fixed boxes and a coarse time grid, the fuzzer repeats
-// identical queries often, so cached results regularly survive across
-// mutations; any hit served from an epoch predating a mutation of its
-// cells diverges from the oracle immediately.
+// FuzzSnapshotReads drives a sharded index and a linear oracle through
+// the same fuzzer-chosen interleaving of inserts, removals, and queries,
+// and demands that every query answers exactly what the oracle answers
+// at that point. Queries draw from a pool of four fixed boxes and a
+// coarse time grid, so the fuzzer repeats identical queries across
+// mutations; a read served from a view that predates a publish diverges
+// from the oracle immediately.
 //
 // The program is a sequence of 6-byte records:
 //
@@ -24,10 +23,9 @@ import (
 // duration = b*10 ms), 2 remove id a%(maxID+1), 3 query (box pool index
 // lat%4, window start a*100 ms, width b*20 ms).
 func FuzzSnapshotReads(f *testing.F) {
-	// Seeds: insert-query-insert-query on one box (the second query of a
-	// box is admitted, the third is a hit); a remove between repeated
-	// queries (invalidation); an over-long segment (spatial fallback)
-	// queried repeatedly; queries alone on an empty store.
+	// Seeds: insert-query-insert-query on one box; a remove between
+	// repeated queries; an over-long segment (spatial fallback) queried
+	// repeatedly; queries alone on an empty store.
 	f.Add([]byte{
 		0, 10, 10, 0, 1, 10,
 		3, 0, 0, 0, 0, 100,
@@ -66,10 +64,6 @@ func FuzzSnapshotReads(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := NewReadCache(sh, ReadCacheOptions{MinCellHits: 2, Capacity: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
 		lin := NewLinear()
 		nextID := uint64(1)
 		queried := false
@@ -86,29 +80,29 @@ func FuzzSnapshotReads(f *testing.F) {
 					Rep:      fuzzRep(lat, lng, op, a*100, b*10),
 				}
 				nextID++
-				errC, errL := rc.Insert(e), lin.Insert(e)
-				if (errC == nil) != (errL == nil) {
-					t.Fatalf("insert %d: cached err %v, linear err %v", e.ID, errC, errL)
+				errS, errL := sh.Insert(e), lin.Insert(e)
+				if (errS == nil) != (errL == nil) {
+					t.Fatalf("insert %d: sharded err %v, linear err %v", e.ID, errS, errL)
 				}
 			case 2: // remove
 				id := uint64(a)%nextID + 1
-				if okC, okL := rc.Remove(id), lin.Remove(id); okC != okL {
-					t.Fatalf("remove %d: cached %v, linear %v", id, okC, okL)
+				if okS, okL := sh.Remove(id), lin.Remove(id); okS != okL {
+					t.Fatalf("remove %d: sharded %v, linear %v", id, okS, okL)
 				}
 			case 3: // query
 				queried = true
 				q := queryPool[int(lat)%len(queryPool)]
 				ts := a * 100
 				te := ts + b*20
-				got := ids(rc.Search(q, ts, te))
+				got := ids(sh.Search(q, ts, te))
 				want := ids(lin.Search(q, ts, te))
 				if len(got) != len(want) {
-					t.Fatalf("query %+v [%d,%d]: cached %d hits %v, linear %d hits %v (hits=%d misses=%d inval=%d)",
-						q, ts, te, len(got), got, len(want), want, rc.Hits(), rc.Misses(), rc.Invalidations())
+					t.Fatalf("query %+v [%d,%d]: sharded %d hits %v, linear %d hits %v",
+						q, ts, te, len(got), got, len(want), want)
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("query %+v [%d,%d]: hit %d: cached id %d, linear id %d",
+						t.Fatalf("query %+v [%d,%d]: hit %d: sharded id %d, linear id %d",
 							q, ts, te, i, got[i], want[i])
 					}
 				}
@@ -117,7 +111,7 @@ func FuzzSnapshotReads(f *testing.F) {
 		if !queried {
 			t.Skip()
 		}
-		if err := rc.CheckInvariants(); err != nil {
+		if err := sh.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	})

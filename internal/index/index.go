@@ -373,20 +373,6 @@ func (x *RTree) SearchCtx(ctx context.Context, r geo.Rect, startMillis, endMilli
 	return out
 }
 
-// searchForCache runs one box search against the current snapshot and
-// returns, besides the hits and traversal cost, a validity probe: it
-// reports true for as long as a reader would still get the same answer
-// (the snapshot has not been superseded). The read cache stores results
-// under this probe.
-func (x *RTree) searchForCache(r geo.Rect, startMillis, endMillis int64) (out []Entry, nodes, leafs int64, valid func() bool) {
-	s := x.tree.Snapshot()
-	out, nodes, leafs = searchSnapCounted(s, queryRect(r, startMillis, endMillis))
-	epoch := s.Epoch()
-	return out, nodes, leafs, func() bool {
-		return x.tree.Snapshot().Epoch() == epoch
-	}
-}
-
 // Len implements Index.
 func (x *RTree) Len() int {
 	return x.tree.Snapshot().Len()

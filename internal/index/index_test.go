@@ -384,3 +384,28 @@ func TestGridImplementsIndexContract(t *testing.T) {
 		t.Fatalf("%d cells remain after removing everything", g.CellCount())
 	}
 }
+
+// The snapshot read path must not cost allocations beyond the raw
+// snapshot search.
+func TestSnapshotReadAllocs(t *testing.T) {
+	// Plain RTree: the public Search is exactly a snapshot search.
+	x := newRTree(t)
+	rng := rand.New(rand.NewSource(5))
+	for id := uint64(1); id <= 400; id++ {
+		if err := x.Insert(randEntry(rng, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := geo.RectAround(city, 3000)
+	const ts, te = 0, 86_400_000
+	rq := queryRect(q, ts, te)
+	base := testing.AllocsPerRun(200, func() {
+		x.tree.Snapshot().SearchAll(rq)
+	})
+	got := testing.AllocsPerRun(200, func() {
+		x.Search(q, ts, te)
+	})
+	if got > base {
+		t.Fatalf("RTree.Search allocates %.1f/op, raw snapshot search %.1f/op", got, base)
+	}
+}

@@ -674,19 +674,13 @@ func (x *Sharded) publishView(deltas ...shardDelta) {
 // advances with every effective publication.
 func (x *Sharded) ReadEpoch() uint64 { return x.view.Load().epoch }
 
-// windowRange returns the inclusive time-window key range a query over
-// [startMillis, endMillis] must visit. A time shard holds segments
-// starting within its window with duration <= window, so only windows
-// floor(start/W)-1 .. floor(end/W) qualify.
-func (x *Sharded) windowRange(startMillis, endMillis int64) (lo, hi int64) {
-	return WindowKeyRange(startMillis, endMillis, x.window)
-}
-
 // viewShardsFor returns, in deterministic order (ascending window, then
 // the non-empty spatial fallbacks), every snapshot in the view that
 // could hold an entry whose segment intersects [startMillis, endMillis].
+// A time shard holds segments starting within its window with duration
+// <= window, so only windows floor(start/W)-1 .. floor(end/W) qualify.
 func (x *Sharded) viewShardsFor(v *shardView, startMillis, endMillis int64) []viewShard {
-	lo, hi := x.windowRange(startMillis, endMillis)
+	lo, hi := WindowKeyRange(startMillis, endMillis, x.window)
 	from := sort.Search(len(v.keys), func(i int) bool { return v.keys[i] >= lo })
 	to := from
 	for to < len(v.keys) && v.keys[to] <= hi {
@@ -746,19 +740,12 @@ func (x *Sharded) Search(r geo.Rect, startMillis, endMillis int64) []Entry {
 // merges per-shard results in shard order, and records the summed
 // traversal cost into the trace carried by ctx.
 func (x *Sharded) SearchCtx(ctx context.Context, r geo.Rect, startMillis, endMillis int64) []Entry {
-	out, nodes, leafs := x.searchView(ctx, x.view.Load(), r, startMillis, endMillis)
-	obs.TraceFrom(ctx).AddIndexVisit(nodes, leafs)
-	return out
-}
-
-// searchView runs one box query against a pinned view.
-func (x *Sharded) searchView(ctx context.Context, v *shardView, r geo.Rect, startMillis, endMillis int64) (out []Entry, nodeSum, leafSum int64) {
-	shards := x.viewShardsFor(v, startMillis, endMillis)
+	shards := x.viewShardsFor(x.view.Load(), startMillis, endMillis)
 	if h := x.fanout.Load(); h != nil {
 		h.Observe(float64(len(shards)))
 	}
 	if len(shards) == 0 {
-		return nil, 0, 0
+		return nil
 	}
 	q := queryRect(r, startMillis, endMillis)
 	results := make([][]Entry, len(shards))
@@ -778,68 +765,21 @@ func (x *Sharded) searchView(ctx context.Context, v *shardView, r geo.Rect, star
 		results[i], nodes[i], leafs[i] = searchSnapCounted(shards[i].snap, q)
 	})
 	total := 0
+	var nodeSum, leafSum int64
 	for i := range results {
 		total += len(results[i])
 		nodeSum += nodes[i]
 		leafSum += leafs[i]
 	}
+	obs.TraceFrom(ctx).AddIndexVisit(nodeSum, leafSum)
 	if total == 0 {
-		return nil, nodeSum, leafSum
+		return nil
 	}
-	out = make([]Entry, 0, total)
+	out := make([]Entry, 0, total)
 	for _, rs := range results {
 		out = append(out, rs...)
 	}
-	return out, nodeSum, leafSum
-}
-
-// searchForCache runs one box search against the current view and
-// returns a validity probe for the read cache: it stays true while every
-// shard the query's window range resolves to (plus the spatial set) is
-// unchanged — cell-granular invalidation, so ingest into unrelated
-// windows does not evict cached answers.
-func (x *Sharded) searchForCache(r geo.Rect, startMillis, endMillis int64) (out []Entry, nodes, leafs int64, valid func() bool) {
-	v := x.view.Load()
-	out, nodes, leafs = x.searchView(context.Background(), v, r, startMillis, endMillis)
-	lo, hi := x.windowRange(startMillis, endMillis)
-	valid = func() bool {
-		cur := x.view.Load()
-		if cur == v {
-			return true
-		}
-		return viewRangeUnchanged(v, cur, lo, hi)
-	}
-	return out, nodes, leafs, valid
-}
-
-// viewRangeUnchanged reports whether two views would answer a query over
-// time-window keys [lo, hi] identically: the same time shards at the
-// same snapshot epochs, and every spatial slot (all of which any query
-// visits) unchanged. Per-shard epochs are strictly monotonic, so epoch
-// equality means the snapshot is the same.
-func viewRangeUnchanged(a, b *shardView, lo, hi int64) bool {
-	for i := range a.spatial {
-		if a.spatial[i].snap.Epoch() != b.spatial[i].snap.Epoch() {
-			return false
-		}
-	}
-	ai := sort.Search(len(a.keys), func(i int) bool { return a.keys[i] >= lo })
-	bi := sort.Search(len(b.keys), func(i int) bool { return b.keys[i] >= lo })
-	for {
-		aOK := ai < len(a.keys) && a.keys[ai] <= hi
-		bOK := bi < len(b.keys) && b.keys[bi] <= hi
-		if !aOK || !bOK {
-			return aOK == bOK // a key appearing or vanishing changes answers
-		}
-		if a.keys[ai] != b.keys[bi] {
-			return false
-		}
-		if a.time[a.keys[ai]].snap.Epoch() != b.time[b.keys[bi]].snap.Epoch() {
-			return false
-		}
-		ai++
-		bi++
-	}
+	return out
 }
 
 // Nearest implements the k-nearest search of the single-tree index:

@@ -146,7 +146,7 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 	h := r.Histogram(`fovr_http_request_seconds{endpoint="/query"}`)
 	h.Observe(0.004)
 	h.Observe(0.02)
-	sp := r.StartSpan("query.rank")
+	sp := r.SpanTimer("query.rank").Start()
 	time.Sleep(time.Millisecond)
 	if d := sp.End(); d <= 0 {
 		t.Fatalf("span duration %v", d)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -146,6 +147,7 @@ func (m *memApplier) ids() []uint64 {
 	for id := range m.state {
 		out = append(out, id)
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -188,7 +190,9 @@ func TestFollowerBootstrapsThenTails(t *testing.T) {
 					Kind:    StreamSnapshot,
 					Entries: []index.Entry{entry(1, "alice"), entry(2, "alice")},
 					Next:    Cursor{Gen: 1, Off: 100},
-					Lead:    Cursor{Gen: 1, Off: 100},
+					// The leader's log already holds the tail below, so
+					// the follower is behind until it fetches it.
+					Lead:    Cursor{Gen: 1, Off: 100 + int64(len(wal))},
 					StoreID: "leader-1",
 				}, nil
 			},
@@ -214,8 +218,7 @@ func TestFollowerBootstrapsThenTails(t *testing.T) {
 	f := startFollower(t, sf, ap)
 	waitCaughtUp(t, f)
 
-	ids := ap.ids()
-	if len(ids) != 2 {
+	if ids := ap.ids(); !slices.Equal(ids, []uint64{2, 3}) {
 		t.Fatalf("follower state ids = %v, want {2, 3}", ids)
 	}
 	st := f.Status()
@@ -228,15 +231,17 @@ func TestFollowerBootstrapsThenTails(t *testing.T) {
 }
 
 func TestFollowerRebootstrapsOnStoreIDChange(t *testing.T) {
-	snap := func(id string, e index.Entry) func(Cursor) (*Batch, error) {
+	snap := func(id string, e index.Entry, lead int64) func(Cursor) (*Batch, error) {
 		return func(Cursor) (*Batch, error) {
 			return &Batch{Kind: StreamSnapshot, Entries: []index.Entry{e},
-				Next: Cursor{Gen: 1, Off: 10}, Lead: Cursor{Gen: 1, Off: 10}, StoreID: id}, nil
+				Next: Cursor{Gen: 1, Off: 10}, Lead: Cursor{Gen: 1, Off: lead}, StoreID: id}, nil
 		}
 	}
 	sf := &scriptFetcher{
 		steps: []func(Cursor) (*Batch, error){
-			snap("leader-old", entry(1, "alice")),
+			// The old leader's log runs past the snapshot, so the follower
+			// is not caught up until it has re-bootstrapped.
+			snap("leader-old", entry(1, "alice"), 20),
 			// The leader's directory was wiped: same cursor shape, new id.
 			func(cur Cursor) (*Batch, error) {
 				return &Batch{Kind: StreamWAL, Frames: nil,
@@ -247,7 +252,7 @@ func TestFollowerRebootstrapsOnStoreIDChange(t *testing.T) {
 				if !cur.IsZero() {
 					return nil, fmt.Errorf("after id change cursor = %v, want zero", cur)
 				}
-				return snap("leader-new", entry(7, "carol"))(cur)
+				return snap("leader-new", entry(7, "carol"), 10)(cur)
 			},
 		},
 	}
@@ -270,9 +275,11 @@ func TestFollowerRebootstrapsOnDamagedFrames(t *testing.T) {
 	good := frames(t, store.Record{Op: store.OpRegister, Entries: []index.Entry{entry(9, "dave")}})
 	sf := &scriptFetcher{
 		steps: []func(Cursor) (*Batch, error){
+			// Each bootstrap reports the leader's real end offset: the
+			// damaged 15-byte tail, then the good frames.
 			func(Cursor) (*Batch, error) {
 				return &Batch{Kind: StreamSnapshot, Entries: nil,
-					Next: Cursor{Gen: 1, Off: 0}, Lead: Cursor{Gen: 1, Off: 0}, StoreID: "L"}, nil
+					Next: Cursor{Gen: 1, Off: 0}, Lead: Cursor{Gen: 1, Off: 15}, StoreID: "L"}, nil
 			},
 			func(Cursor) (*Batch, error) {
 				return &Batch{Kind: StreamWAL, Frames: []byte("not a wal frame"),
@@ -283,7 +290,7 @@ func TestFollowerRebootstrapsOnDamagedFrames(t *testing.T) {
 					return nil, fmt.Errorf("after damage cursor = %v, want zero", cur)
 				}
 				return &Batch{Kind: StreamSnapshot, Entries: nil,
-					Next: Cursor{Gen: 1, Off: 0}, Lead: Cursor{Gen: 1, Off: 0}, StoreID: "L"}, nil
+					Next: Cursor{Gen: 1, Off: 0}, Lead: Cursor{Gen: 1, Off: int64(len(good))}, StoreID: "L"}, nil
 			},
 			func(Cursor) (*Batch, error) {
 				return &Batch{Kind: StreamWAL, Frames: good,

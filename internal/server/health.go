@@ -125,7 +125,7 @@ func (s *Server) checkIndex() obs.HealthCheck {
 		"kind":    s.cfg.IndexKind,
 		"entries": idx.Len(),
 	}
-	sh, ok := unwrapIndex(idx).(*index.Sharded)
+	sh, ok := idx.(*index.Sharded)
 	if !ok {
 		return check
 	}
@@ -278,7 +278,12 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	series := s.history.Query(q.Get("metric"), since, q.Get("res"))
+	res := q.Get("res")
+	if res != "" && res != "fine" && res != "coarse" {
+		httpError(w, http.StatusBadRequest, "res: want \"fine\" or \"coarse\", got %q", res)
+		return
+	}
+	series := s.history.Query(q.Get("metric"), since, res)
 	if series == nil {
 		series = []obs.HistorySeries{}
 	}

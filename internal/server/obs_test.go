@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fovr/internal/fov"
 	"fovr/internal/geo"
@@ -377,5 +378,101 @@ func TestConcurrentTrafficMetricsConsistent(t *testing.T) {
 	}
 	if float64(st.BytesIn) != promValue(t, reg.Prometheus(), "fovr_net_received_bytes_total") {
 		t.Error("stats bytesIn diverges from registry counter")
+	}
+}
+
+// TestDebugHistoryEndpoint drives GET /debug/history over samples taken
+// at known times: metric= substring filtering (known and unknown
+// names), since= as a duration and as unix milliseconds, res= selection
+// and rejection of bad parameters.
+func TestDebugHistoryEndpoint(t *testing.T) {
+	s, err := New(Config{Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	uploadN(t, s, "alice", 3)
+	now := time.Now()
+	t0, t1 := now.Add(-10*time.Minute), now.Add(-time.Minute)
+	for _, at := range []time.Time{t0, t1, now} {
+		s.history.Sample(at)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	get := func(query string) (HistoryResponse, int) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/debug/history" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var hr HistoryResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
+				t.Fatalf("%s: decode: %v", query, err)
+			}
+		}
+		return hr, resp.StatusCode
+	}
+	entries := func(hr HistoryResponse) obs.HistorySeries {
+		t.Helper()
+		if len(hr.Series) != 1 || hr.Series[0].Name != "fovr_index_entries" {
+			t.Fatalf("want exactly the fovr_index_entries series, got %+v", hr.Series)
+		}
+		for _, smp := range hr.Series[0].Samples {
+			if smp.Value != 3 {
+				t.Fatalf("fovr_index_entries sample %+v, want value 3", smp)
+			}
+		}
+		return hr.Series[0]
+	}
+
+	hr, code := get("?metric=fovr_index_entries")
+	if code != http.StatusOK {
+		t.Fatalf("known metric: status %d", code)
+	}
+	if ser := entries(hr); ser.Res != "fine" || len(ser.Samples) != 3 || ser.Samples[0].UnixMillis != t0.UnixMilli() {
+		t.Fatalf("fine series %+v, want 3 samples from %d", ser, t0.UnixMilli())
+	}
+	if hr.Stats.FineSamples != 3 || hr.Stats.Series == 0 {
+		t.Fatalf("stats %+v", hr.Stats)
+	}
+
+	hr, code = get("?metric=no_such_metric")
+	if code != http.StatusOK || hr.Series == nil || len(hr.Series) != 0 {
+		t.Fatalf("unknown metric: status %d, series %#v, want 200 and []", code, hr.Series)
+	}
+
+	for _, since := range []string{"5m", strconv.FormatInt(t1.UnixMilli(), 10)} {
+		hr, code = get("?metric=fovr_index_entries&since=" + since)
+		if code != http.StatusOK {
+			t.Fatalf("since=%s: status %d", since, code)
+		}
+		if ser := entries(hr); len(ser.Samples) != 2 || ser.Samples[0].UnixMillis != t1.UnixMilli() {
+			t.Fatalf("since=%s: samples %+v, want the 2 from %d on", since, ser.Samples, t1.UnixMilli())
+		}
+	}
+
+	hr, code = get("?metric=fovr_index_entries&res=coarse")
+	if code != http.StatusOK {
+		t.Fatalf("res=coarse: status %d", code)
+	}
+	if ser := entries(hr); ser.Res != "coarse" || len(ser.Samples) != 3 {
+		t.Fatalf("coarse series %+v, want 3 samples (every tick is >= 15s apart)", ser)
+	}
+
+	for _, bad := range []string{"?since=yesterday", "?res=medium"} {
+		if _, code := get(bad); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", bad, code)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/debug/history", "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST: status %d, want 405", resp.StatusCode)
 	}
 }

@@ -129,14 +129,6 @@ type Config struct {
 	// HotspotCellDegrees is the grid cell size the query-cell sketch
 	// buckets query centers into. Zero selects 0.01° (~1.1 km).
 	HotspotCellDegrees float64
-	// ReadCache enables the hot-cell result cache in front of the index:
-	// repeated box searches over unchanged shards are answered from
-	// cached snapshot results (epoch-validated, never stale). Exposed as
-	// fovr_readcache_* metrics; set by fovserver -read-cache.
-	ReadCache bool
-	// ReadCacheCapacity bounds the number of cached query boxes when
-	// ReadCache is on. Zero selects the index package default (1024).
-	ReadCacheCapacity int
 	// IDBase offsets the segment-id sequence this server assigns: the
 	// first id handed out is IDBase+1. A partitioned cluster gives each
 	// partition a disjoint base (cmd/fovcluster derives
@@ -162,6 +154,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Registry == nil {
 		c.Registry = obs.Default
+	}
+	if c.Logger == nil {
+		c.Logger = obs.NopLogger()
 	}
 	if c.IndexKind == "" {
 		c.IndexKind = IndexKindRTree
@@ -213,8 +208,9 @@ func (c Config) loadIndex(entries []index.Entry) (index.ServerIndex, error) {
 // coincide with the store's segment windows: each sealed window loads
 // straight into its own shard (one STR build, no per-entry routing),
 // and only the memtable remainder goes through the general insert
-// path. Any mismatch — different index kind, different window size, an
-// entry violating the window math — falls back to the plain bulk load.
+// path. A different index kind or window size selects the plain bulk
+// load; an entry violating the window math falls back to it with a
+// warning.
 func (c Config) loadIndexTiered(d *store.Disk, entries []index.Entry) (index.ServerIndex, error) {
 	if c.IndexKind != IndexKindSharded || d == nil || !d.Tiered() ||
 		d.SegmentWindowMillis() != c.shardedOptions().WindowMillis {
@@ -228,14 +224,19 @@ func (c Config) loadIndexTiered(d *store.Disk, entries []index.Entry) (index.Ser
 	if err != nil {
 		return nil, err
 	}
+	fallback := func(err error) (index.ServerIndex, error) {
+		c.Logger.Warn("sealed-window index boot failed; bulk-loading instead", "err", err)
+		return c.loadIndex(entries)
+	}
 	for k, es := range sealed {
 		if err := x.LoadWindowShard(k, es); err != nil {
-			return c.loadIndex(entries)
+			return fallback(err)
 		}
 	}
 	if err := x.InsertBatch(rest); err != nil {
-		return c.loadIndex(entries)
+		return fallback(err)
 	}
+	c.Logger.Info("index booted from sealed windows", "windows", len(sealed), "memtable", len(rest))
 	return x, nil
 }
 
@@ -247,35 +248,6 @@ func (c Config) attachLockClass(idx index.ServerIndex) {
 	if rt, ok := idx.(*index.RTree); ok {
 		rt.SetLockClass(c.Registry.LockClass("index.tree"))
 	}
-}
-
-// wrapReadCache puts the hot-cell read cache in front of a freshly
-// built index when the config asks for one. Both server index kinds
-// support snapshot reads, so the wrap cannot fail for them; the error
-// path guards against future kinds that don't.
-func (c Config) wrapReadCache(idx index.ServerIndex) (index.ServerIndex, error) {
-	if !c.ReadCache {
-		return idx, nil
-	}
-	cached, err := index.NewReadCache(idx, index.ReadCacheOptions{
-		Capacity:    c.ReadCacheCapacity,
-		CellDegrees: c.HotspotCellDegrees,
-		Registry:    c.Registry,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("server: read cache: %w", err)
-	}
-	return cached, nil
-}
-
-// unwrapIndex strips a read-cache wrapper, exposing the concrete index
-// for kind-specific handling (per-shard metrics teardown, health
-// checks).
-func unwrapIndex(idx index.ServerIndex) index.ServerIndex {
-	if c, ok := idx.(*index.ReadCache); ok {
-		return c.Unwrap()
-	}
-	return idx
 }
 
 func (c Config) shardedOptions() index.ShardedOptions {
@@ -344,17 +316,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg.attachLockClass(idx)
-	if idx, err = cfg.wrapReadCache(idx); err != nil {
-		return nil, err
-	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = slog.New(nopHandler{})
-	}
 	s := &Server{
 		cfg:        cfg,
 		reg:        cfg.Registry,
-		log:        logger,
+		log:        cfg.Logger,
 		idx:        idx,
 		store:      cfg.Store,
 		subs:       newSubscriptions(),
@@ -425,14 +390,6 @@ func (s *Server) registerMetrics() {
 	s.reg.CounterFunc("fovr_query_traces_observed_total", func() float64 { return float64(s.traces.Stats().Observed) })
 	s.reg.CounterFunc("fovr_query_traces_kept_total", func() float64 { return float64(s.traces.Stats().Kept()) })
 }
-
-// nopHandler silences slog when no logger is configured.
-type nopHandler struct{}
-
-func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
-func (nopHandler) WithAttrs([]slog.Attr) slog.Handler        { return nopHandler{} }
-func (nopHandler) WithGroup(string) slog.Handler             { return nopHandler{} }
 
 // index returns the current index under the state lock — LoadSnapshot may
 // replace it, and metric callbacks read from scrape goroutines.
@@ -618,23 +575,16 @@ func (s *Server) ResetState(entries []index.Entry) error {
 func (s *Server) replaceState(entries []index.Entry, build func([]index.Entry) (index.ServerIndex, error), persist func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Drop the replaced index's per-shard gauges (and any read-cache
-	// counters) first: the restored index re-registers the names it still
-	// uses, and shards that no longer exist must not linger on /metrics.
-	oldCache, _ := s.idx.(*index.ReadCache)
-	old, _ := unwrapIndex(s.idx).(*index.Sharded)
+	// Drop the replaced index's per-shard gauges first: the restored
+	// index re-registers the names it still uses, and shards that no
+	// longer exist must not linger on /metrics.
+	old, _ := s.idx.(*index.Sharded)
 	if old != nil {
 		old.UnregisterMetrics()
-	}
-	if oldCache != nil {
-		oldCache.UnregisterMetrics()
 	}
 	restoreOld := func() {
 		if old != nil {
 			old.RegisterMetrics()
-		}
-		if oldCache != nil {
-			oldCache.RegisterMetrics()
 		}
 	}
 	idx, err := build(entries)
@@ -643,19 +593,12 @@ func (s *Server) replaceState(entries []index.Entry, build func([]index.Entry) (
 		return err
 	}
 	s.cfg.attachLockClass(idx)
-	if idx, err = s.cfg.wrapReadCache(idx); err != nil {
-		restoreOld()
-		return err
-	}
 	// The restored state replaces the journaled history wholesale; a
 	// durable store checkpoints it immediately so the data directory
 	// reflects the snapshot, not a log of a superseded past.
 	if err := persist(); err != nil {
-		if swapped, ok := unwrapIndex(idx).(*index.Sharded); ok {
+		if swapped, ok := idx.(*index.Sharded); ok {
 			swapped.UnregisterMetrics()
-		}
-		if c, ok := idx.(*index.ReadCache); ok {
-			c.UnregisterMetrics()
 		}
 		restoreOld()
 		return fmt.Errorf("server: reset store: %w", err)

@@ -232,6 +232,7 @@ func TestSlowQueryLogAndCounter(t *testing.T) {
 	s, err := New(Config{
 		Camera:             fov.Camera{HalfAngleDeg: 30, RadiusMeters: 100},
 		Logger:             logger,
+		Registry:           obs.NewRegistry(),
 		SlowQueryThreshold: time.Nanosecond, // everything is slow
 		TraceSampleRate:    -1,
 	})

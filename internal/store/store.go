@@ -44,7 +44,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log/slog"
 	"os"
@@ -202,7 +201,7 @@ func (o Options) withDefaults() Options {
 		o.Registry = obs.Default
 	}
 	if o.Logger == nil {
-		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		o.Logger = obs.NopLogger()
 	}
 	return o
 }
